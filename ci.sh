@@ -103,14 +103,15 @@ printf '{"id":1,"method":"stats"}\n' | ./target/release/serve --oneshot --quick 
   exit 1
 }
 
-echo "== sharded serve smoke test (router, 2 shards, whole-tree shutdown) =="
-# The router fronts two spawned shard daemons; clients see the same wire
-# protocol on one ephemeral port. SIGTERM must drain the whole process
-# tree: the router exits 0 and both spawned shard pids are gone.
+echo "== sharded serve smoke test (serve --shards 2, whole-tree shutdown) =="
+# `serve --shards 2` runs as a router fronting two spawned shard daemons;
+# clients see the same wire protocol on one ephemeral port. SIGTERM must
+# drain the whole process tree: the router exits 0 and both spawned shard
+# pids are gone.
 ROUTER_PORT_FILE=target/router-ci.port
 ROUTER_LOG=target/router-ci.log
 rm -f "$ROUTER_PORT_FILE" "$ROUTER_LOG"
-./target/release/router --quick --shards 2 --port-file "$ROUTER_PORT_FILE" 2>"$ROUTER_LOG" &
+./target/release/serve --quick --shards 2 --port-file "$ROUTER_PORT_FILE" 2>"$ROUTER_LOG" &
 ROUTER_PID=$!
 for _ in $(seq 1 100); do
   [ -s "$ROUTER_PORT_FILE" ] && break

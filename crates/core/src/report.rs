@@ -208,6 +208,7 @@ impl Json {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -237,10 +238,18 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Artifacts and
+/// `BENCH_repro.json` nest at most 6 deep; the cap exists so a hostile
+/// document (a request line of 100k `[`) answers an error instead of
+/// overflowing the parser's stack.
+pub const MAX_PARSE_DEPTH: usize = 128;
+
 /// Recursive-descent JSON parser over the input bytes.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -285,12 +294,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(b) => Err(format!("unexpected `{}` at byte {}", b as char, self.pos)),
             None => Err("unexpected end of input".to_owned()),
         }
+    }
+
+    /// Parse one array or object, refusing to nest past [`MAX_PARSE_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_PARSE_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_PARSE_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -797,6 +820,22 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn json_parse_caps_nesting_depth() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let at_cap = nest(open, close, MAX_PARSE_DEPTH).replace("{\"k\":}", "{\"k\":0}");
+            assert!(Json::parse(&at_cap).is_ok(), "{open} nested at the cap parses");
+        }
+        let over = nest("[", "]", MAX_PARSE_DEPTH + 1);
+        let err = Json::parse(&over).expect_err("one past the cap");
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // The hostile case: 100k levels answer an error, not a stack
+        // overflow.
+        assert!(Json::parse(&nest("[", "]", 100_000)).is_err());
+        assert!(Json::parse(&nest("{\"k\":", "}", 100_000)).is_err());
     }
 
     #[test]

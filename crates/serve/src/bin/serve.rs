@@ -41,13 +41,13 @@
 //!   `m3d_serve::router` rustdoc). The bound address, `--port-file`, and
 //!   the wire protocol are exactly as in single-daemon mode.
 //! * `--oneshot` — no TCP at all: read request lines from stdin, write
-//!   response lines to stdout, exit at EOF. One process per query is the
-//!   honest "cold" baseline the `perf_baseline` serve probe compares the
-//!   warm daemon against.
+//!   response lines to stdout, exit at EOF. Lines are framed exactly as on
+//!   a socket (an over-cap line is answered `oversized`). One process per
+//!   query is the honest "cold" baseline the `perf_baseline` serve probe
+//!   compares the warm daemon against.
 
 use m3d_serve::server::{install_signal_handlers, Server, ServerConfig};
 use m3d_serve::{Engine, Router, RouterConfig};
-use std::io::{BufRead, Write};
 
 struct Args {
     cfg: ServerConfig,
@@ -122,25 +122,7 @@ fn oneshot(quick: bool, jobs: usize, slow_ms: u64) -> i32 {
         }
     };
     engine.set_slow_ms(slow_ms);
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        // `plan` requests produce several lines (partials then the final
-        // answer); everything else produces exactly one.
-        for reply in engine.answer_lines(&line) {
-            if writeln!(out, "{reply}").and_then(|()| out.flush()).is_err() {
-                return 0;
-            }
-        }
-    }
+    engine.answer_stream(std::io::stdin().lock(), std::io::stdout().lock());
     0
 }
 

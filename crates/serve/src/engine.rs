@@ -4,9 +4,10 @@
 //! "concurrent answers equal serial answers byte-for-byte" checkable: both
 //! paths run the same code over the same point list.
 
+use crate::net::{frame, oversized_line, Line, READ_CHUNK};
 use crate::protocol::{
     ok_line, parse_request, partial_line, ErrorKind, Method, Request, WireError,
-    MAX_INTERVAL_UOPS, MAX_POINTS,
+    MAX_INTERVAL_UOPS, MAX_LINE_BYTES, MAX_POINTS,
 };
 use crate::telemetry::{RequestObservation, ServeTelemetry, RECENT_DEFAULT, RECENT_MAX};
 use m3d_core::configs::{DesignPoint, MulticoreDesign};
@@ -22,6 +23,7 @@ use m3d_uarch::batch::{result_cache_len, SimBatch, SimInterval, SimPoint};
 use m3d_uarch::SimError;
 use m3d_workloads::parallel::parallel_by_name;
 use m3d_workloads::spec::spec_by_name;
+use std::io::{Read, Write};
 use std::time::Instant;
 
 /// Every counter the server maintains. [`Engine::stats`] reports each of
@@ -394,9 +396,9 @@ impl Engine {
     /// Answer one raw request line with every response line it produces
     /// (no trailing newlines), in wire order. For `plan` that is zero or
     /// more partial lines followed by the terminating line; for every
-    /// other method exactly one line. This is the whole `--oneshot` mode,
-    /// and the reference the concurrency tests compare server output
-    /// against.
+    /// other method exactly one line. This answers each line of the
+    /// `--oneshot` mode ([`Engine::answer_stream`]), and is the reference
+    /// the concurrency tests compare server output against.
     pub fn answer_lines(&self, line: &str) -> Vec<String> {
         let started = Instant::now();
         let req = match parse_request(line) {
@@ -454,6 +456,52 @@ impl Engine {
         self.answer_lines(line)
             .pop()
             .expect("every request produces a terminating line")
+    }
+
+    /// The `--oneshot` mode: frame request lines from `input` exactly as
+    /// the daemon frames a connection (same line cap, same `oversized`
+    /// answer and resync, CRLF and blank lines handled alike) and write
+    /// every response line to `output`, flushed per line. A last line
+    /// without its newline is still answered. Returns at EOF, on a read
+    /// error, or once `output` stops accepting writes.
+    pub fn answer_stream(&self, mut input: impl Read, mut output: impl Write) {
+        let (mut buf, mut discarding, mut writable) = (Vec::new(), false, true);
+        let mut chunk = [0u8; READ_CHUNK];
+        while writable {
+            let eof = match input.read(&mut chunk) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Ok(0) | Err(_) if buf.is_empty() => break,
+                Ok(0) | Err(_) => {
+                    buf.push(b'\n');
+                    true
+                }
+                Ok(n) => {
+                    buf.extend_from_slice(&chunk[..n]);
+                    false
+                }
+            };
+            frame(&mut buf, &mut discarding, MAX_LINE_BYTES, |line| {
+                if !writable {
+                    return;
+                }
+                let replies = match line {
+                    Line::Text(text) => self.answer_lines(text),
+                    Line::Oversized => {
+                        m3d_obs::add("serve.errors", 1);
+                        vec![oversized_line()]
+                    }
+                };
+                for reply in replies {
+                    if writeln!(output, "{reply}").and_then(|()| output.flush()).is_err() {
+                        writable = false;
+                        return;
+                    }
+                }
+            });
+            if eof {
+                break;
+            }
+        }
     }
 }
 

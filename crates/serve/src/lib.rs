@@ -26,12 +26,14 @@
 //!
 //! # Production shape
 //!
-//! * **Event-loop core** — one epoll readiness loop (dependency-free raw
-//!   syscall bindings, see [`server`]) owns the listener and every
-//!   client socket; connections cost file descriptors, not threads, so
-//!   connections ≫ workers is the designed-for regime. Workers hand
-//!   response lines back through an eventfd-woken mailbox and never
-//!   touch a socket.
+//! * **Event-loop core** — one epoll readiness loop (see [`server`]) owns
+//!   the listener and every client socket; connections cost file
+//!   descriptors, not threads, so connections ≫ workers is the
+//!   designed-for regime. Workers hand response lines back through an
+//!   eventfd-woken mailbox and never touch a socket. The raw syscall
+//!   bindings, the one line framer and the connection buffers live in
+//!   the private `net` module, shared with the router and `--oneshot`
+//!   ([`Engine::answer_stream`]), so every surface frames lines alike.
 //! * **Backpressure** — heavy work (`sim`, `experiment`) passes through a
 //!   bounded admission queue; a full queue rejects with a structured
 //!   `overloaded` error instead of buffering unboundedly.
@@ -58,8 +60,8 @@
 //!   `stats`, rolling windows via `telemetry`. A router additionally
 //!   counts `serve.shard_subrequests`, `serve.shard_deaths`,
 //!   `serve.shard_rerouted`, and `serve.shard_failed`.
-//! * **Sharding** — `serve --shards N` (or the standalone `router`
-//!   binary) fronts N shard daemons with one listener: `sim` points are
+//! * **Sharding** — `serve --shards N` fronts N shard daemons with one
+//!   listener: `sim` points are
 //!   fanned to the shard owning each point's fingerprint slice,
 //!   `plan`/`experiment`/`planner` are forwarded whole by content
 //!   affinity ([`router::route_hash`]), and every response is
@@ -214,6 +216,7 @@
 
 pub mod client;
 pub mod engine;
+mod net;
 pub mod protocol;
 pub mod router;
 pub mod server;

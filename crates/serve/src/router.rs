@@ -17,6 +17,16 @@
 //! bounded cache holds a disjoint working set instead of N copies of the
 //! same hot entries.
 //!
+//! # Plumbing
+//!
+//! The router is `serve --shards N`. Its event loop runs on the crate's
+//! `net` module, like the daemon's: the same epoll bindings, the same
+//! [`MAX_LINE_BYTES`] framing of client lines (an over-cap line answers
+//! `oversized`), and the same `LineConn` buffers for clients and shard
+//! upstreams. Upstream lines are framed without the cap, because a
+//! shard's answer (an experiment document, a large frontier) may
+//! legitimately exceed it.
+//!
 //! # Routing
 //!
 //! * `sim` — fanned out **per point**: each point becomes one single-point
@@ -63,31 +73,23 @@ use crate::engine::{
     method_counter, parse_sim_params, serve_counters_snapshot, telemetry_response,
     SERVE_COUNTERS,
 };
+use crate::net::{self, oversized_line, Epoll, EpollEvent, Line, LineConn, FLUSH_WINDOW};
 use crate::protocol::{
     err_line, ok_line, parse_request, request_line, ErrorKind, Method, Request, Response,
     WireError, MAX_LINE_BYTES,
 };
-use crate::server::{self, oversized_line, sys, FLUSH_WINDOW};
 use crate::telemetry::{RequestObservation, ServeTelemetry, SLOW_MS_DEFAULT};
 use m3d_core::experiments::registry::ExperimentError;
 use m3d_core::report::{metrics_json, Json};
 use m3d_uarch::batch::{shard_of_key, shard_slice};
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-extern "C" {
-    fn kill(pid: i32, sig: i32) -> i32;
-}
-
-const SIGTERM: i32 = 15;
 
 /// Event-loop token of the client-facing listener. Shard `i`'s upstream
 /// connection is token `1 + i`; client tokens start past the shards.
@@ -205,25 +207,13 @@ pub(crate) fn single_topology_json() -> Json {
 struct Shard {
     addr: String,
     child: Option<Child>,
-    pid: Option<u32>,
-    stream: Option<TcpStream>,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    wstart: usize,
-    interest: u32,
-    live: bool,
+    /// `None` once the shard died (or shutdown closed it).
+    conn: Option<LineConn>,
 }
 
 impl Shard {
-    fn has_backlog(&self) -> bool {
-        self.wstart < self.wbuf.len()
-    }
-
-    /// Queue one request line for this shard. Buffering never fails; the
-    /// bytes go out in the flush phase, where a failure is a shard death.
-    fn buffer(&mut self, line: &str) {
-        self.wbuf.extend_from_slice(line.as_bytes());
-        self.wbuf.push(b'\n');
+    fn live(&self) -> bool {
+        self.conn.is_some()
     }
 }
 
@@ -256,24 +246,11 @@ struct Entry {
     fan: Option<Fanout>,
 }
 
-/// One client connection's state machine (mirrors the daemon's `Conn`,
-/// plus the response-ordering queue).
+/// One client connection: its socket and buffers plus the
+/// response-ordering queue.
 struct ClientConn {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    wstart: usize,
-    discarding: bool,
-    read_closed: bool,
-    closed_at: Option<Instant>,
-    interest: u32,
+    net: LineConn,
     queue: VecDeque<Entry>,
-}
-
-impl ClientConn {
-    fn has_backlog(&self) -> bool {
-        self.wstart < self.wbuf.len()
-    }
 }
 
 #[derive(Clone)]
@@ -293,44 +270,6 @@ struct Pending {
     eid: u64,
     cid: i64,
     kind: PendingKind,
-}
-
-/// A complete line framed from a client's read buffer, or an oversized
-/// line to answer with the structured error.
-enum Framed {
-    Line(String),
-    Oversized,
-}
-
-/// Frame complete lines out of `rbuf` — the daemon's rules: empty lines
-/// skipped, completed lines over the cap answered `oversized`, a line
-/// overflowing the buffer before its newline answered `oversized` once
-/// and discarded until the next newline resyncs.
-fn frame_lines(rbuf: &mut Vec<u8>, discarding: &mut bool) -> Vec<Framed> {
-    let mut out = Vec::new();
-    while let Some(nl) = rbuf.iter().position(|&b| b == b'\n') {
-        let line: Vec<u8> = rbuf.drain(..=nl).collect();
-        if *discarding {
-            *discarding = false;
-            continue;
-        }
-        if line.len() - 1 > MAX_LINE_BYTES {
-            out.push(Framed::Oversized);
-            continue;
-        }
-        let text = String::from_utf8_lossy(&line[..line.len() - 1]);
-        let text = text.trim_end_matches('\r');
-        if text.trim().is_empty() {
-            continue;
-        }
-        out.push(Framed::Line(text.to_owned()));
-    }
-    if rbuf.len() > MAX_LINE_BYTES {
-        out.push(Framed::Oversized);
-        rbuf.clear();
-        *discarding = true;
-    }
-    out
 }
 
 /// Swap the leading `"id"` of a rendered response line. Responses are
@@ -526,8 +465,13 @@ fn spawn_shard(bin: &PathBuf, cfg: &RouterConfig, i: usize) -> std::io::Result<(
 }
 
 /// Connect (with retries — a freshly spawned daemon may still be binding)
-/// and wrap a shard connection.
-fn connect_shard(addr: String, child: Option<Child>) -> std::io::Result<Shard> {
+/// and register the shard connection under `token`.
+fn connect_shard(
+    addr: String,
+    child: Option<Child>,
+    token: u64,
+    epoll: &Epoll,
+) -> std::io::Result<Shard> {
     let deadline = Instant::now() + CONNECT_DEADLINE;
     let stream = loop {
         match TcpStream::connect(&addr) {
@@ -540,19 +484,11 @@ fn connect_shard(addr: String, child: Option<Child>) -> std::io::Result<Shard> {
             }
         }
     };
-    stream.set_nodelay(true)?;
-    stream.set_nonblocking(true)?;
-    let pid = child.as_ref().map(Child::id);
+    let conn = LineConn::register(stream, token, epoll)?;
     Ok(Shard {
         addr,
         child,
-        pid,
-        stream: Some(stream),
-        rbuf: Vec::new(),
-        wbuf: Vec::new(),
-        wstart: 0,
-        interest: sys::EPOLLIN,
-        live: true,
+        conn: Some(conn),
     })
 }
 
@@ -560,6 +496,7 @@ fn connect_shard(addr: String, child: Option<Child>) -> std::io::Result<Shard> {
 /// reachable. Run it with [`Router::run`] (foreground, until SIGTERM) or
 /// [`Router::spawn`] (own thread, stopped via [`RouterHandle`]).
 pub struct Router {
+    epoll: Epoll,
     listener: TcpListener,
     shards: Vec<Shard>,
     telemetry: ServeTelemetry,
@@ -578,6 +515,7 @@ impl Router {
         for c in SERVE_COUNTERS {
             m3d_obs::add(c, 0);
         }
+        let epoll = Epoll::new()?;
         let mut shards = Vec::new();
         if cfg.connect.is_empty() {
             let bin = match &cfg.serve_binary {
@@ -593,18 +531,20 @@ impl Router {
             for i in 0..cfg.shards.max(1) {
                 let (child, addr) = spawn_shard(&bin, &cfg, i)?;
                 eprintln!("[router] spawned shard {i} pid {} on {addr}", child.id());
-                shards.push(connect_shard(addr, Some(child))?);
+                shards.push(connect_shard(addr, Some(child), 1 + i as u64, &epoll)?);
             }
         } else {
-            for addr in &cfg.connect {
-                shards.push(connect_shard(addr.clone(), None)?);
+            for (i, addr) in cfg.connect.iter().enumerate() {
+                shards.push(connect_shard(addr.clone(), None, 1 + i as u64, &epoll)?);
             }
         }
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
+        epoll.add(&listener, TOKEN_LISTENER)?;
         let telemetry = ServeTelemetry::new();
         telemetry.set_slow_ms(cfg.slow_ms);
         Ok(Router {
+            epoll,
             listener,
             shards,
             telemetry,
@@ -620,7 +560,10 @@ impl Router {
 
     /// The spawned shard pids, in shard order (`None` in connect mode).
     pub fn shard_pids(&self) -> Vec<Option<u32>> {
-        self.shards.iter().map(|s| s.pid).collect()
+        self.shards
+            .iter()
+            .map(|s| s.child.as_ref().map(Child::id))
+            .collect()
     }
 
     /// Run the event loop on this thread until a termination signal (or a
@@ -628,10 +571,7 @@ impl Router {
     /// flush every client, SIGTERM spawned shards and wait for them.
     pub fn run(self) {
         let stop = Arc::clone(&self.stop);
-        match RouterLoop::new(self) {
-            Ok(mut rl) => rl.run(&stop),
-            Err(e) => eprintln!("[router] event loop setup failed: {e}"),
-        }
+        RouterLoop::new(self).run(&stop);
     }
 
     /// Run on a background thread; stop it with [`RouterHandle::shutdown`].
@@ -666,7 +606,7 @@ impl RouterHandle {
 
 /// The readiness loop's working set.
 struct RouterLoop {
-    epoll: sys::Epoll,
+    epoll: Epoll,
     listener: TcpListener,
     shards: Vec<Shard>,
     clients: HashMap<u64, ClientConn>,
@@ -680,35 +620,27 @@ struct RouterLoop {
 }
 
 impl RouterLoop {
-    fn new(router: Router) -> std::io::Result<RouterLoop> {
-        let epoll = sys::Epoll::new()?;
-        epoll.add(router.listener.as_raw_fd(), TOKEN_LISTENER, sys::EPOLLIN)?;
-        for (i, s) in router.shards.iter().enumerate() {
-            if let Some(stream) = &s.stream {
-                epoll.add(stream.as_raw_fd(), 1 + i as u64, sys::EPOLLIN)?;
-            }
-        }
-        let next_client_token = 1 + router.shards.len() as u64;
-        Ok(RouterLoop {
-            epoll,
+    fn new(router: Router) -> RouterLoop {
+        RouterLoop {
+            epoll: router.epoll,
             listener: router.listener,
+            next_client_token: 1 + router.shards.len() as u64,
             shards: router.shards,
             clients: HashMap::new(),
             pending: HashMap::new(),
-            next_client_token,
             next_upstream_id: 0,
             next_eid: 0,
             telemetry: router.telemetry,
             start: router.start,
-        })
+        }
     }
 
     fn run(&mut self, stop: &AtomicBool) {
-        let mut events = [sys::EpollEvent { events: 0, data: 0 }; 64];
-        while !stop.load(Ordering::Relaxed) && !server::signalled() {
+        let mut events = [EpollEvent::default(); 64];
+        while !stop.load(Ordering::Relaxed) && !net::signalled() {
             let n = self.epoll.wait(&mut events, 100);
             for ev in events.iter().take(n).copied() {
-                self.dispatch(ev.data, ev.events, true);
+                self.dispatch(ev, true);
             }
             self.flush_shards();
             self.reap();
@@ -716,121 +648,65 @@ impl RouterLoop {
         self.drain_and_exit();
     }
 
-    /// Route one readiness event. `reads` gates client reads — the drain
-    /// loop stops reading but still flushes.
-    fn dispatch(&mut self, token: u64, bits: u32, reads: bool) {
-        if token == TOKEN_LISTENER {
-            if reads {
-                self.accept_ready();
+    /// Route one readiness event. `accepting` gates the listener — the
+    /// drain loop takes no new clients.
+    fn dispatch(&mut self, ev: EpollEvent, accepting: bool) {
+        match ev.token() {
+            TOKEN_LISTENER => {
+                if accepting {
+                    self.accept_clients();
+                }
             }
-        } else if (token as usize) <= self.shards.len() {
-            self.shard_event(token as usize - 1, bits);
-        } else {
-            self.client_event(token, bits, reads);
+            t if t as usize <= self.shards.len() => self.shard_event(t as usize - 1, ev),
+            t => self.client_event(t, ev),
         }
     }
 
     // ---- client side ----------------------------------------------------
 
-    fn accept_ready(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => self.register_client(stream),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(5));
-                    break;
-                }
-            }
-        }
+    fn accept_clients(&mut self) {
+        let clients = &mut self.clients;
+        net::accept(&self.listener, &self.epoll, &mut self.next_client_token, |net| {
+            let queue = VecDeque::new();
+            clients.insert(net.token(), ClientConn { net, queue });
+        });
     }
 
-    fn register_client(&mut self, stream: TcpStream) {
-        let _ = stream.set_nodelay(true);
-        if stream.set_nonblocking(true).is_err() {
+    fn client_event(&mut self, token: u64, ev: EpollEvent) {
+        let Some(c) = self.clients.get_mut(&token) else {
             return;
-        }
-        let token = self.next_client_token;
-        self.next_client_token += 1;
-        if self
-            .epoll
-            .add(stream.as_raw_fd(), token, sys::EPOLLIN)
-            .is_err()
-        {
-            return;
-        }
-        self.clients.insert(
-            token,
-            ClientConn {
-                stream,
-                rbuf: Vec::new(),
-                wbuf: Vec::new(),
-                wstart: 0,
-                discarding: false,
-                read_closed: false,
-                closed_at: None,
-                interest: sys::EPOLLIN,
-                queue: VecDeque::new(),
-            },
-        );
-    }
-
-    fn client_event(&mut self, token: u64, bits: u32, reads: bool) {
-        if !self.clients.contains_key(&token) {
-            return;
-        }
-        if bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0 {
+        };
+        if ev.hangup() || (ev.writable() && !c.net.flush(&self.epoll)) {
             self.kill_client(token);
-            return;
-        }
-        if bits & sys::EPOLLOUT != 0 && !self.flush_client(token) {
-            return;
-        }
-        if bits & sys::EPOLLIN != 0 && reads {
+        } else if ev.readable() {
             self.read_client(token);
         }
     }
 
-    /// Read until the socket would block, frame lines, and handle each.
+    /// Read until the socket would block and handle every framed line.
     fn read_client(&mut self, token: u64) {
-        let mut framed = Vec::new();
-        {
-            let Some(c) = self.clients.get_mut(&token) else {
-                return;
-            };
-            let mut chunk = [0u8; 4096];
-            loop {
-                match c.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        c.read_closed = true;
-                        c.closed_at = Some(Instant::now());
-                        break;
-                    }
-                    Ok(n) => {
-                        c.rbuf.extend_from_slice(&chunk[..n]);
-                        framed.extend(frame_lines(&mut c.rbuf, &mut c.discarding));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        c.read_closed = true;
-                        c.closed_at = Some(Instant::now());
-                        break;
-                    }
-                }
-            }
-        }
-        for f in framed {
-            match f {
-                Framed::Line(line) => self.handle_client_line(token, &line),
-                Framed::Oversized => {
+        let Some(c) = self.clients.get_mut(&token) else {
+            return;
+        };
+        // Handling a line needs the whole router, so lines are copied out
+        // of the read buffer first; `None` is an over-cap line.
+        let mut lines = Vec::new();
+        c.net.read_lines(MAX_LINE_BYTES, &self.epoll, |line| {
+            lines.push(match line {
+                Line::Text(text) => Some(text.to_owned()),
+                Line::Oversized => None,
+            })
+        });
+        for line in lines {
+            match line {
+                Some(line) => self.handle_client_line(token, &line),
+                None => {
                     let entry = self.new_entry(0, None, Instant::now(), 0);
                     self.push_done(token, entry, oversized_line(), Some(ErrorKind::Oversized));
                 }
             }
         }
         self.pump_client(token);
-        self.update_client_interest(token);
     }
 
     fn new_entry(&mut self, id: i64, method: Option<Method>, received: Instant, req_bytes: u64) -> Entry {
@@ -926,7 +802,7 @@ impl RouterLoop {
             },
         );
         m3d_obs::add("serve.shard_subrequests", 1);
-        self.shards[si].buffer(&request_line(uid, req.method, req.params, req.deadline_ms));
+        self.send_upstream(si, &request_line(uid, req.method, req.params, req.deadline_ms));
         if let Some(c) = self.clients.get_mut(&token) {
             c.queue.push_back(entry);
         }
@@ -978,7 +854,7 @@ impl RouterLoop {
                         },
                     );
                     m3d_obs::add("serve.shard_subrequests", 1);
-                    self.shards[si].buffer(&request_line(
+                    self.send_upstream(si, &request_line(
                         uid,
                         Method::Sim,
                         point_objs[i].clone(),
@@ -1005,7 +881,16 @@ impl RouterLoop {
     /// The first live shard at or cyclically after `primary`.
     fn effective_shard(&self, primary: usize) -> Option<usize> {
         let n = self.shards.len();
-        (0..n).map(|k| (primary + k) % n).find(|&i| self.shards[i].live)
+        (0..n).map(|k| (primary + k) % n).find(|&i| self.shards[i].live())
+    }
+
+    /// Buffer one request line for a live shard. Buffering never fails;
+    /// the bytes go out in the flush phase, where a failure is a shard
+    /// death.
+    fn send_upstream(&mut self, si: usize, line: &str) {
+        if let Some(conn) = self.shards[si].conn.as_mut() {
+            conn.queue_line(line);
+        }
     }
 
     /// The router's `stats` result: its own uptime and counters plus the
@@ -1015,7 +900,7 @@ impl RouterLoop {
         let liveness: Vec<(Option<String>, bool)> = self
             .shards
             .iter()
-            .map(|s| (Some(s.addr.clone()), s.live))
+            .map(|s| (Some(s.addr.clone()), s.live()))
             .collect();
         Json::obj([
             ("uptime_s", Json::from(self.start.elapsed().as_secs_f64())),
@@ -1030,85 +915,21 @@ impl RouterLoop {
     /// one connection's responses come back in request order like a
     /// single daemon's.
     fn pump_client(&mut self, token: u64) {
-        {
-            let Some(c) = self.clients.get_mut(&token) else {
-                return;
-            };
-            let ClientConn {
-                ref mut queue,
-                ref mut wbuf,
-                ..
-            } = *c;
-            while let Some(head) = queue.front_mut() {
-                while head.emitted < head.out.len() {
-                    wbuf.extend_from_slice(head.out[head.emitted].as_bytes());
-                    wbuf.push(b'\n');
-                    head.emitted += 1;
-                }
-                if !head.done {
-                    break;
-                }
-                queue.pop_front();
-            }
-        }
-        self.flush_client(token);
-    }
-
-    /// Write a client's backlog until it drains or would block; returns
-    /// whether the connection survived.
-    fn flush_client(&mut self, token: u64) -> bool {
-        let mut failed = false;
-        {
-            let Some(c) = self.clients.get_mut(&token) else {
-                return false;
-            };
-            while c.wstart < c.wbuf.len() {
-                match c.stream.write(&c.wbuf[c.wstart..]) {
-                    Ok(0) => {
-                        failed = true;
-                        break;
-                    }
-                    Ok(n) => c.wstart += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            if !failed {
-                if c.wstart == c.wbuf.len() {
-                    c.wbuf.clear();
-                    c.wstart = 0;
-                } else if c.wstart > 64 * 1024 {
-                    c.wbuf.drain(..c.wstart);
-                    c.wstart = 0;
-                }
-            }
-        }
-        if failed {
-            self.kill_client(token);
-            return false;
-        }
-        self.update_client_interest(token);
-        true
-    }
-
-    fn update_client_interest(&mut self, token: u64) {
         let Some(c) = self.clients.get_mut(&token) else {
             return;
         };
-        let mut want = 0u32;
-        if !c.read_closed {
-            want |= sys::EPOLLIN;
+        while let Some(head) = c.queue.front_mut() {
+            for line in &head.out[head.emitted..] {
+                c.net.queue_line(line);
+            }
+            head.emitted = head.out.len();
+            if !head.done {
+                break;
+            }
+            c.queue.pop_front();
         }
-        if c.has_backlog() {
-            want |= sys::EPOLLOUT;
-        }
-        if want != c.interest {
-            let _ = self.epoll.modify(c.stream.as_raw_fd(), token, want);
-            c.interest = want;
+        if !c.net.flush(&self.epoll) {
+            self.kill_client(token);
         }
     }
 
@@ -1118,7 +939,7 @@ impl RouterLoop {
     /// write error each.
     fn kill_client(&mut self, token: u64) {
         if let Some(c) = self.clients.remove(&token) {
-            if c.has_backlog() || c.queue.iter().any(|e| e.emitted < e.out.len()) {
+            if c.net.has_backlog() || c.queue.iter().any(|e| e.emitted < e.out.len()) {
                 m3d_obs::add("serve.write_errors", 1);
             }
         }
@@ -1133,10 +954,8 @@ impl RouterLoop {
             .clients
             .iter()
             .filter(|(_, c)| {
-                c.read_closed
-                    && ((c.queue.is_empty() && !c.has_backlog())
-                        || c.closed_at
-                            .is_some_and(|t| now.duration_since(t) > FLUSH_WINDOW))
+                c.net.read_closed()
+                    && ((c.queue.is_empty() && !c.net.has_backlog()) || c.net.flush_expired(now))
             })
             .map(|(t, _)| *t)
             .collect();
@@ -1147,59 +966,32 @@ impl RouterLoop {
 
     // ---- shard side -----------------------------------------------------
 
-    fn shard_event(&mut self, si: usize, bits: u32) {
-        if !self.shards[si].live {
+    fn shard_event(&mut self, si: usize, ev: EpollEvent) {
+        let Some(conn) = self.shards[si].conn.as_mut() else {
             return;
-        }
-        if bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0 {
+        };
+        if ev.hangup() || (ev.writable() && !conn.flush(&self.epoll)) {
             self.shard_death(si);
-            return;
-        }
-        if bits & sys::EPOLLOUT != 0 && !self.flush_shard(si) {
-            return;
-        }
-        if bits & sys::EPOLLIN != 0 {
+        } else if ev.readable() {
             self.read_shard(si);
         }
     }
 
     /// Read a shard's responses until the socket would block and handle
-    /// every complete line.
+    /// every complete line; EOF or a read error is a shard death.
     fn read_shard(&mut self, si: usize) {
+        let Some(conn) = self.shards[si].conn.as_mut() else {
+            return;
+        };
+        // No line cap upstream: a shard's answer (an experiment document,
+        // a large frontier) may legitimately exceed MAX_LINE_BYTES.
         let mut lines = Vec::new();
-        let mut dead = false;
-        {
-            let s = &mut self.shards[si];
-            let Some(stream) = s.stream.as_mut() else {
-                return;
-            };
-            let mut chunk = [0u8; 16 * 1024];
-            loop {
-                match stream.read(&mut chunk) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        s.rbuf.extend_from_slice(&chunk[..n]);
-                        while let Some(nl) = s.rbuf.iter().position(|&b| b == b'\n') {
-                            let raw: Vec<u8> = s.rbuf.drain(..=nl).collect();
-                            let text = String::from_utf8_lossy(&raw[..raw.len() - 1]);
-                            let text = text.trim_end_matches('\r');
-                            if !text.trim().is_empty() {
-                                lines.push(text.to_owned());
-                            }
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
+        conn.read_lines(usize::MAX, &self.epoll, |line| {
+            if let Line::Text(text) = line {
+                lines.push(text.to_owned());
             }
-        }
+        });
+        let dead = conn.read_closed();
         for line in lines {
             self.handle_upstream(si, &line);
         }
@@ -1329,74 +1121,21 @@ impl RouterLoop {
     /// discovered here can never re-enter request routing.
     fn flush_shards(&mut self) {
         for si in 0..self.shards.len() {
-            if self.shards[si].live && self.shards[si].has_backlog() {
-                self.flush_shard(si);
-            }
-        }
-    }
-
-    /// Write one shard's backlog until it drains or would block; a write
-    /// failure is a shard death. Returns whether the shard survived.
-    fn flush_shard(&mut self, si: usize) -> bool {
-        let mut failed = false;
-        {
-            let s = &mut self.shards[si];
-            let Some(stream) = s.stream.as_mut() else {
-                return false;
-            };
-            let fd = stream.as_raw_fd();
-            while s.wstart < s.wbuf.len() {
-                match stream.write(&s.wbuf[s.wstart..]) {
-                    Ok(0) => {
-                        failed = true;
-                        break;
-                    }
-                    Ok(n) => s.wstart += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            if !failed {
-                if s.wstart == s.wbuf.len() {
-                    s.wbuf.clear();
-                    s.wstart = 0;
-                }
-                let mut want = sys::EPOLLIN;
-                if s.wstart < s.wbuf.len() {
-                    want |= sys::EPOLLOUT;
-                }
-                if want != s.interest {
-                    let _ = self.epoll.modify(fd, 1 + si as u64, want);
-                    s.interest = want;
+            if let Some(conn) = self.shards[si].conn.as_mut() {
+                if conn.has_backlog() && !conn.flush(&self.epoll) {
+                    self.shard_death(si);
                 }
             }
         }
-        if failed {
-            self.shard_death(si);
-            return false;
-        }
-        true
     }
 
     /// A shard died: mark it dead (future routing skips it — its key
     /// slice falls to the next live shard), answer everything in flight
     /// on it with `shard_down`, and count the death.
     fn shard_death(&mut self, si: usize) {
-        if !self.shards[si].live {
+        // Dropping the connection closes the fd, which deregisters it.
+        if self.shards[si].conn.take().is_none() {
             return;
-        }
-        {
-            let s = &mut self.shards[si];
-            s.live = false;
-            // Dropping the stream closes the fd, which deregisters it.
-            s.stream = None;
-            s.rbuf.clear();
-            s.wbuf.clear();
-            s.wstart = 0;
         }
         m3d_obs::add("serve.shard_deaths", 1);
         eprintln!("[router] shard {si} died; re-routing its key slice");
@@ -1442,33 +1181,29 @@ impl RouterLoop {
     /// process tree exits with the router.
     fn drain_and_exit(&mut self) {
         eprintln!("[router] draining");
-        self.accept_ready();
+        self.accept_clients();
         let tokens: Vec<u64> = self.clients.keys().copied().collect();
         for token in tokens {
             self.read_client(token);
             if let Some(c) = self.clients.get_mut(&token) {
-                c.read_closed = true;
-                if c.closed_at.is_none() {
-                    c.closed_at = Some(Instant::now());
-                }
+                c.net.stop_reading(&self.epoll);
             }
-            self.update_client_interest(token);
         }
         let t0 = Instant::now();
-        let mut events = [sys::EpollEvent { events: 0, data: 0 }; 64];
+        let mut events = [EpollEvent::default(); 64];
         loop {
             self.flush_shards();
             let idle = self.pending.is_empty()
                 && self
                     .clients
                     .values()
-                    .all(|c| c.queue.is_empty() && !c.has_backlog());
+                    .all(|c| c.queue.is_empty() && !c.net.has_backlog());
             if idle || t0.elapsed() > FLUSH_WINDOW {
                 break;
             }
             let n = self.epoll.wait(&mut events, 50);
             for ev in events.iter().take(n).copied() {
-                self.dispatch(ev.data, ev.events, false);
+                self.dispatch(ev, false);
             }
             self.reap();
         }
@@ -1476,9 +1211,9 @@ impl RouterLoop {
         for s in &mut self.shards {
             // Closing the upstream connection first lets the shard's own
             // drain see a clean EOF instead of an in-flight reset.
-            s.stream = None;
-            if let Some(pid) = s.pid {
-                unsafe { kill(pid as i32, SIGTERM) };
+            s.conn = None;
+            if let Some(child) = &s.child {
+                net::terminate(child.id());
             }
         }
         for s in &mut self.shards {

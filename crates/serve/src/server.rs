@@ -4,15 +4,16 @@
 //!
 //! # Threading model
 //!
-//! * A single event-loop thread owns all socket I/O through a
-//!   dependency-free `epoll(7)` binding (module `sys` below, in the same
-//!   spirit as the `signal(2)` binding). It watches the non-blocking
-//!   listener, every connection, and an `eventfd` wake channel.
-//!   Connections never get threads: each one is a small state machine — a
-//!   read buffer with the line framing and oversized/resync handling, and
-//!   a write buffer drained as the socket accepts bytes — so an idle
-//!   connection costs one epoll registration instead of a parked reader
-//!   thread spinning on a 50 ms read timeout.
+//! * A single event-loop thread owns all socket I/O through the crate's
+//!   `net` module: dependency-free `epoll(7)`/`eventfd(2)`/`signal(2)`
+//!   bindings, the line framer, and the `LineConn` connection type the
+//!   shard router uses too. The loop watches the non-blocking listener,
+//!   every connection, and an `eventfd` wake channel. Connections never
+//!   get threads: each one is a `LineConn` — a read buffer with the line
+//!   framing and oversized/resync handling, and a write buffer drained as
+//!   the socket accepts bytes — plus the write half the workers answer
+//!   through, so an idle connection costs one epoll registration instead
+//!   of a parked reader thread spinning on a 50 ms read timeout.
 //! * Cheap read-only methods (`planner`, `stats`, `telemetry`) are
 //!   answered inline on the event loop; heavy work (`sim`, `experiment`,
 //!   `plan`) is pushed through the bounded admission queue — a full queue
@@ -49,190 +50,21 @@
 //! close.
 
 use crate::engine::{method_counter, parse_sim_params, Engine, SimRequest};
+use crate::net::{self, oversized_line, Epoll, EpollEvent, Line, LineConn, WakeFd, FLUSH_WINDOW};
 use crate::protocol::{
     err_line, ok_line, parse_request, ErrorKind, Method, WireError, MAX_LINE_BYTES,
 };
 use crate::telemetry::{RequestObservation, SLOW_MS_DEFAULT};
 use m3d_core::report::Json;
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Process-wide "a termination signal arrived" flag.
-static SIGNALLED: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_signal(_sig: i32) {
-    // The only async-signal-safe thing worth doing: set a flag the event
-    // loop polls.
-    SIGNALLED.store(true, Ordering::SeqCst);
-}
-
-extern "C" {
-    fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-}
-
-/// Whether a termination signal has arrived (see
-/// [`install_signal_handlers`]). The router's event loop polls this the
-/// same way the server's does.
-pub(crate) fn signalled() -> bool {
-    SIGNALLED.load(Ordering::Relaxed)
-}
-
-/// Route SIGTERM and SIGINT (ctrl-c) into a graceful drain instead of the
-/// default immediate kill. Called once by the `serve` and `router`
-/// binaries; safe to call more than once.
-pub fn install_signal_handlers() {
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGINT, on_signal);
-        signal(SIGTERM, on_signal);
-    }
-}
-
-/// Raw `epoll(7)` + `eventfd(2)` bindings. The daemon stays
-/// dependency-free, so these mirror the `signal(2)` binding above instead
-/// of pulling in a crate; only the thin safe wrappers below touch them.
-pub(crate) mod sys {
-    use std::io;
-    use std::os::fd::RawFd;
-
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    const EPOLL_CTL_ADD: i32 = 1;
-    const EPOLL_CTL_MOD: i32 = 3;
-    const EPOLL_CLOEXEC: i32 = 0o2000000;
-    const EFD_NONBLOCK: i32 = 0o4000;
-    const EFD_CLOEXEC: i32 = 0o2000000;
-
-    /// Mirror of `struct epoll_event`; packed on x86-64 (the kernel ABI
-    /// packs it there), naturally aligned elsewhere. Fields are only ever
-    /// read by value — never by reference — because of the packing.
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: i32) -> i32;
-        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32)
-            -> i32;
-        fn eventfd(initval: u32, flags: i32) -> i32;
-        fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-        fn close(fd: i32) -> i32;
-    }
-
-    /// Owned epoll instance. Registration errors surface as `io::Error`;
-    /// deregistration is implicit — closing a watched fd removes it (no
-    /// fd in this server is ever duplicated).
-    pub struct Epoll {
-        fd: RawFd,
-    }
-
-    impl Epoll {
-        pub fn new() -> io::Result<Epoll> {
-            let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Epoll { fd })
-        }
-
-        fn ctl(&self, op: i32, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events,
-                data: token,
-            };
-            if unsafe { epoll_ctl(self.fd, op, fd, &mut ev) } < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        pub fn add(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, events)
-        }
-
-        pub fn modify(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, events)
-        }
-
-        /// Wait for readiness; `EINTR` (a signal landed) reports as zero
-        /// events so the caller re-checks its stop flag.
-        pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> usize {
-            let n = unsafe {
-                epoll_wait(
-                    self.fd,
-                    events.as_mut_ptr(),
-                    events.len() as i32,
-                    timeout_ms,
-                )
-            };
-            if n < 0 {
-                return 0;
-            }
-            n as usize
-        }
-    }
-
-    impl Drop for Epoll {
-        fn drop(&mut self) {
-            unsafe { close(self.fd) };
-        }
-    }
-
-    /// Non-blocking `eventfd` used as the worker → event-loop wake
-    /// channel: writers bump the counter, the loop drains it.
-    pub struct WakeFd {
-        fd: RawFd,
-    }
-
-    impl WakeFd {
-        pub fn new() -> io::Result<WakeFd> {
-            let fd = unsafe { eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(WakeFd { fd })
-        }
-
-        pub fn raw(&self) -> RawFd {
-            self.fd
-        }
-
-        /// Signal the event loop. A full counter (`EAGAIN`) already means
-        /// "a wake is pending", so errors are ignorable.
-        pub fn wake(&self) {
-            let one = 1u64.to_ne_bytes();
-            unsafe { write(self.fd, one.as_ptr(), one.len()) };
-        }
-
-        /// Reset the counter so level-triggered epoll stops reporting it.
-        pub fn drain(&self) {
-            let mut buf = [0u8; 8];
-            unsafe { read(self.fd, buf.as_mut_ptr(), buf.len()) };
-        }
-    }
-
-    impl Drop for WakeFd {
-        fn drop(&mut self) {
-            unsafe { close(self.fd) };
-        }
-    }
-}
+pub use crate::net::install_signal_handlers;
 
 /// Event-loop token of the listening socket.
 const TOKEN_LISTENER: u64 = 0;
@@ -246,10 +78,6 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// coalescing would let one worker swallow the whole queue while the rest
 /// of the pool idles, serializing a 64-deep queue behind a single thread.
 const COALESCE_MAX: usize = 16;
-
-/// How long shutdown (and a half-closed connection) may wait for admitted
-/// work to finish and flush before giving up on the socket.
-pub(crate) const FLUSH_WINDOW: Duration = Duration::from_secs(60);
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -446,14 +274,14 @@ impl Queue {
 /// which owns every socket. Pushing also signals the wake eventfd.
 struct Mailbox {
     lines: Mutex<Vec<(u64, Vec<u8>)>>,
-    wake: sys::WakeFd,
+    wake: WakeFd,
 }
 
 impl Mailbox {
     fn new() -> std::io::Result<Mailbox> {
         Ok(Mailbox {
             lines: Mutex::new(Vec::new()),
-            wake: sys::WakeFd::new()?,
+            wake: WakeFd::new()?,
         })
     }
 
@@ -568,7 +396,7 @@ struct ServerState {
 
 impl ServerState {
     fn stopping(&self) -> bool {
-        self.stop.load(Ordering::Relaxed) || SIGNALLED.load(Ordering::Relaxed)
+        self.stop.load(Ordering::Relaxed) || net::signalled()
     }
 }
 
@@ -623,12 +451,12 @@ impl Server {
                     .expect("spawn serve worker"),
             );
         }
-        let epoll = sys::Epoll::new().expect("epoll_create1");
+        let epoll = Epoll::new().expect("epoll_create1");
         epoll
-            .add(self.listener.as_raw_fd(), TOKEN_LISTENER, sys::EPOLLIN)
+            .add(&self.listener, TOKEN_LISTENER)
             .expect("register listener");
         epoll
-            .add(self.state.mailbox.wake.raw(), TOKEN_WAKE, sys::EPOLLIN)
+            .add(&self.state.mailbox.wake, TOKEN_WAKE)
             .expect("register wake eventfd");
         let mut el = EventLoop {
             epoll,
@@ -637,17 +465,16 @@ impl Server {
             conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
         };
-        let mut events = [sys::EpollEvent { events: 0, data: 0 }; 64];
+        let mut events = [EpollEvent::default(); 64];
         while !el.state.stopping() {
             // The timeout bounds how long a signal can go unnoticed when
             // the loop is otherwise idle.
             let n = el.epoll.wait(&mut events, 100);
             for ev in events.iter().take(n).copied() {
-                let (token, bits) = (ev.data, ev.events);
-                match token {
-                    TOKEN_LISTENER => el.accept_ready(),
+                match ev.token() {
+                    TOKEN_LISTENER => el.accept_clients(),
                     TOKEN_WAKE => el.state.mailbox.wake.drain(),
-                    t => el.conn_event(t, bits),
+                    t => el.conn_event(t, ev),
                 }
             }
             el.deliver_and_flush();
@@ -680,37 +507,17 @@ impl ServerHandle {
     }
 }
 
-/// Per-connection state machine, owned by the event loop.
+/// Per-connection state, owned by the event loop: the socket and its
+/// buffers, plus the write half shared with the workers.
 struct Conn {
-    stream: TcpStream,
+    net: LineConn,
     writer: Arc<ConnWriter>,
-    /// Bytes read but not yet framed into lines.
-    rbuf: Vec<u8>,
-    /// Response bytes not yet on the wire; `wstart` marks the written
-    /// prefix so a partial write never re-sends bytes.
-    wbuf: Vec<u8>,
-    wstart: usize,
-    /// Inside the tail of an oversized line (already answered): skip
-    /// until the next newline resyncs the stream.
-    discarding: bool,
-    /// The peer half-closed (or a read failed); responses still flush.
-    read_closed: bool,
-    /// When `read_closed` was set, for the flush-window cap.
-    closed_at: Option<Instant>,
-    /// Event mask currently registered with epoll.
-    interest: u32,
-}
-
-impl Conn {
-    fn has_backlog(&self) -> bool {
-        self.wstart < self.wbuf.len()
-    }
 }
 
 /// The readiness loop's working set: the epoll instance, the listener,
 /// and every live connection keyed by token.
 struct EventLoop {
-    epoll: sys::Epoll,
+    epoll: Epoll,
     listener: TcpListener,
     state: Arc<ServerState>,
     conns: HashMap<u64, Conn>,
@@ -718,167 +525,47 @@ struct EventLoop {
 }
 
 impl EventLoop {
-    /// Accept until the listener would block.
-    fn accept_ready(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => self.register(stream),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                // Transient accept failures (EMFILE, aborted handshakes):
-                // back off briefly so a persistent one cannot spin the
-                // loop hot, then let the next readiness event retry.
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(5));
-                    break;
-                }
-            }
-        }
-    }
-
-    fn register(&mut self, stream: TcpStream) {
-        let _ = stream.set_nodelay(true);
-        if stream.set_nonblocking(true).is_err() {
-            return;
-        }
-        let token = self.next_token;
-        self.next_token += 1;
-        if self
-            .epoll
-            .add(stream.as_raw_fd(), token, sys::EPOLLIN)
-            .is_err()
-        {
-            return;
-        }
-        let writer = Arc::new(ConnWriter {
-            token,
-            mailbox: Arc::clone(&self.state.mailbox),
-            dead: AtomicBool::new(false),
-            pending: AtomicUsize::new(0),
+    /// Accept and register every pending connection.
+    fn accept_clients(&mut self) {
+        let (conns, mailbox) = (&mut self.conns, &self.state.mailbox);
+        net::accept(&self.listener, &self.epoll, &mut self.next_token, |net| {
+            let writer = Arc::new(ConnWriter {
+                token: net.token(),
+                mailbox: Arc::clone(mailbox),
+                dead: AtomicBool::new(false),
+                pending: AtomicUsize::new(0),
+            });
+            conns.insert(net.token(), Conn { net, writer });
         });
-        self.conns.insert(
-            token,
-            Conn {
-                stream,
-                writer,
-                rbuf: Vec::new(),
-                wbuf: Vec::new(),
-                wstart: 0,
-                discarding: false,
-                read_closed: false,
-                closed_at: None,
-                interest: sys::EPOLLIN,
-            },
-        );
     }
 
-    /// Dispatch one readiness event for a connection.
-    fn conn_event(&mut self, token: u64, bits: u32) {
-        if !self.conns.contains_key(&token) {
-            // A stale event for a connection torn down earlier in this
-            // same batch.
-            return;
-        }
-        if bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0 {
-            self.kill(token);
-            return;
-        }
-        if bits & sys::EPOLLOUT != 0 && !self.flush(token) {
-            return;
-        }
-        if bits & sys::EPOLLIN != 0 {
-            self.read_ready(token);
-        }
-    }
-
-    /// Read until the socket would block (or EOF), framing and
-    /// dispatching complete lines as they appear.
-    fn read_ready(&mut self, token: u64) {
-        let state = Arc::clone(&self.state);
+    /// Dispatch one readiness event for a connection (a stale event for
+    /// one torn down earlier in the same batch is ignored).
+    fn conn_event(&mut self, token: u64, ev: EpollEvent) {
         let Some(c) = self.conns.get_mut(&token) else {
             return;
         };
-        let mut chunk = [0u8; 4096];
-        loop {
-            match c.stream.read(&mut chunk) {
-                Ok(0) => {
-                    c.read_closed = true;
-                    c.closed_at = Some(Instant::now());
-                    break;
-                }
-                Ok(n) => {
-                    c.rbuf.extend_from_slice(&chunk[..n]);
-                    drain_lines(c, &state);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    c.read_closed = true;
-                    c.closed_at = Some(Instant::now());
-                    break;
-                }
-            }
-        }
-        Self::update_interest(&self.epoll, token, c);
-    }
-
-    /// Write the connection's backlog until it drains or would block.
-    /// Returns whether the connection survived.
-    fn flush(&mut self, token: u64) -> bool {
-        let mut failed = false;
-        {
-            let Some(c) = self.conns.get_mut(&token) else {
-                return false;
-            };
-            while c.wstart < c.wbuf.len() {
-                match c.stream.write(&c.wbuf[c.wstart..]) {
-                    Ok(0) => {
-                        failed = true;
-                        break;
-                    }
-                    Ok(n) => c.wstart += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            if !failed {
-                if c.wstart == c.wbuf.len() {
-                    c.wbuf.clear();
-                    c.wstart = 0;
-                } else if c.wstart > 64 * 1024 {
-                    // Compact occasionally so a slow client cannot pin the
-                    // whole history of its responses in memory.
-                    c.wbuf.drain(..c.wstart);
-                    c.wstart = 0;
-                }
-                Self::update_interest(&self.epoll, token, c);
-            }
-        }
-        if failed {
+        if ev.hangup() || (ev.writable() && !c.net.flush(&self.epoll)) {
             self.kill(token);
-            return false;
+        } else if ev.readable() {
+            self.read_requests(token);
         }
-        true
     }
 
-    /// Keep the registered event mask in sync with what the state machine
-    /// can still make progress on: readable while the peer may send,
-    /// writable only while a partial write is outstanding.
-    fn update_interest(epoll: &sys::Epoll, token: u64, c: &mut Conn) {
-        let mut want = 0u32;
-        if !c.read_closed {
-            want |= sys::EPOLLIN;
-        }
-        if c.has_backlog() {
-            want |= sys::EPOLLOUT;
-        }
-        if want != c.interest {
-            let _ = epoll.modify(c.stream.as_raw_fd(), token, want);
-            c.interest = want;
-        }
+    /// Read until the socket would block (or EOF), dispatching complete
+    /// lines as they are framed.
+    fn read_requests(&mut self, token: u64) {
+        let Some(c) = self.conns.get_mut(&token) else {
+            return;
+        };
+        let (state, writer) = (&self.state, &c.writer);
+        c.net.read_lines(MAX_LINE_BYTES, &self.epoll, |line| match line {
+            Line::Text(text) => process_line(text, writer, state),
+            Line::Oversized => {
+                m3d_obs::add("serve.errors", 1);
+                writer.send(&oversized_line());
+            }
+        });
     }
 
     /// Tear a connection down *now*: mark its writer dead (late sends
@@ -887,7 +574,7 @@ impl EventLoop {
     fn kill(&mut self, token: u64) {
         if let Some(c) = self.conns.remove(&token) {
             c.writer.dead.store(true, Ordering::Release);
-            if c.has_backlog() {
+            if c.net.has_backlog() {
                 // The unflushed tail never reached the client.
                 m3d_obs::add("serve.write_errors", 1);
             }
@@ -900,18 +587,17 @@ impl EventLoop {
     fn deliver_and_flush(&mut self) {
         for (token, bytes) in self.state.mailbox.drain() {
             match self.conns.get_mut(&token) {
-                Some(c) => c.wbuf.extend_from_slice(&bytes),
+                Some(c) => c.net.queue(&bytes),
                 None => m3d_obs::add("serve.write_errors", 1),
             }
         }
-        let backlogged: Vec<u64> = self
+        let failed: Vec<u64> = self
             .conns
-            .iter()
-            .filter(|(_, c)| c.has_backlog())
-            .map(|(t, _)| *t)
+            .iter_mut()
+            .filter_map(|(t, c)| (c.net.has_backlog() && !c.net.flush(&self.epoll)).then_some(*t))
             .collect();
-        for token in backlogged {
-            self.flush(token);
+        for token in failed {
+            self.kill(token);
         }
     }
 
@@ -926,12 +612,11 @@ impl EventLoop {
             .conns
             .iter()
             .filter(|(_, c)| {
-                c.read_closed
+                c.net.read_closed()
                     && ((mailbox_empty
-                        && !c.has_backlog()
+                        && !c.net.has_backlog()
                         && c.writer.pending.load(Ordering::Acquire) == 0)
-                        || c.closed_at
-                            .is_some_and(|t| now.duration_since(t) > FLUSH_WINDOW))
+                        || c.net.flush_expired(now))
             })
             .map(|(t, _)| *t)
             .collect();
@@ -954,21 +639,20 @@ impl EventLoop {
         // connection. (Handshakes completing after this instant see a
         // reset when the listener drops, which is indistinguishable from
         // the daemon having exited a moment sooner.)
-        self.accept_ready();
+        self.accept_clients();
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
-            self.read_ready(token);
+            self.read_requests(token);
             if let Some(c) = self.conns.get_mut(&token) {
                 // No more reads from here on; dropping EPOLLIN interest
                 // keeps readable-but-ignored sockets from spinning the
                 // drain loop hot.
-                c.read_closed = true;
-                Self::update_interest(&self.epoll, token, c);
+                c.net.stop_reading(&self.epoll);
             }
         }
         self.state.queue.close();
         let t0 = Instant::now();
-        let mut events = [sys::EpollEvent { events: 0, data: 0 }; 64];
+        let mut events = [EpollEvent::default(); 64];
         loop {
             // Read the workers' state *before* draining the mailbox: a
             // worker always pushes its last response before exiting, so
@@ -977,21 +661,18 @@ impl EventLoop {
             let workers_done = workers.iter().all(|w| w.is_finished());
             self.deliver_and_flush();
             let flushed = self.state.mailbox.is_empty()
-                && self.conns.values().all(|c| !c.has_backlog());
+                && self.conns.values().all(|c| !c.net.has_backlog());
             if (workers_done && flushed) || t0.elapsed() > FLUSH_WINDOW {
                 break;
             }
             let n = self.epoll.wait(&mut events, 50);
             for ev in events.iter().take(n).copied() {
-                let (token, bits) = (ev.data, ev.events);
-                if token == TOKEN_WAKE {
-                    self.state.mailbox.wake.drain();
-                } else if token >= FIRST_CONN_TOKEN {
-                    if bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0 {
-                        self.kill(token);
-                    } else if bits & sys::EPOLLOUT != 0 {
-                        self.flush(token);
-                    }
+                match ev.token() {
+                    TOKEN_LISTENER => {}
+                    TOKEN_WAKE => self.state.mailbox.wake.drain(),
+                    // Reads stopped above, so only hang-ups and
+                    // writability are reported from here on.
+                    t => self.conn_event(t, ev),
                 }
             }
         }
@@ -1115,53 +796,6 @@ fn worker_loop(state: &ServerState) {
                 send_result(state, &w.reply, &w.meta, queue_wait_us(&w.meta, claimed), 1, r);
             }
         }
-    }
-}
-
-pub(crate) fn oversized_line() -> String {
-    err_line(
-        None,
-        &WireError::new(
-            ErrorKind::Oversized,
-            format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-        ),
-    )
-}
-
-/// Frame and dispatch every complete line in the connection's read
-/// buffer, then enforce the line cap on the unfinished remainder (a line
-/// that overflows the buffer before its newline arrives is answered
-/// `oversized` immediately and its tail discarded until the stream
-/// resyncs at the next newline).
-fn drain_lines(c: &mut Conn, state: &Arc<ServerState>) {
-    while let Some(nl) = c.rbuf.iter().position(|&b| b == b'\n') {
-        let line: Vec<u8> = c.rbuf.drain(..=nl).collect();
-        if c.discarding {
-            // Tail of an oversized line (already answered): resync.
-            c.discarding = false;
-            continue;
-        }
-        // The streaming check below only catches lines that overflow
-        // the buffer before their newline arrives; a line that exceeds
-        // the cap within the final read chunk completes normally, so
-        // the cap must also be enforced on every completed line.
-        if line.len() - 1 > MAX_LINE_BYTES {
-            m3d_obs::add("serve.errors", 1);
-            c.writer.send(&oversized_line());
-            continue;
-        }
-        let text = String::from_utf8_lossy(&line[..line.len() - 1]);
-        let text = text.trim_end_matches('\r');
-        if text.trim().is_empty() {
-            continue;
-        }
-        process_line(text, &c.writer, state);
-    }
-    if c.rbuf.len() > MAX_LINE_BYTES {
-        m3d_obs::add("serve.errors", 1);
-        c.writer.send(&oversized_line());
-        c.rbuf.clear();
-        c.discarding = true;
     }
 }
 

@@ -1,12 +1,14 @@
 //! Shard-router tests against real `serve` child processes: the
 //! byte-equivalence invariant (any shard count answers exactly what the
-//! serial engine answers) and graceful degradation when a shard dies.
+//! serial engine answers), graceful degradation when a shard dies, a
+//! client hanging up mid-`plan`, and hostile request lines on every wire
+//! surface (daemon, router, `--oneshot`).
 
 use m3d_core::report::Json;
 use m3d_serve::client::Client;
-use m3d_serve::protocol::{request_line, Method};
+use m3d_serve::protocol::{request_line, Method, Response, MAX_LINE_BYTES};
 use m3d_serve::router::{route_hash, shard_of_hash};
-use m3d_serve::{Engine, Router, RouterConfig};
+use m3d_serve::{Engine, Router, RouterConfig, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -321,5 +323,162 @@ fn router_keeps_answering_after_a_shard_is_killed() {
 
     // Graceful shutdown still drains and reaps the surviving child.
     drop(c);
+    handle.shutdown();
+}
+
+/// A 1-shard router in connect mode in front of `shard_addr`; returns its
+/// address and handle.
+fn connect_router(shard_addr: &str) -> (String, m3d_serve::RouterHandle) {
+    let router = Router::bind(RouterConfig {
+        connect: vec![shard_addr.to_owned()],
+        quick: true,
+        ..RouterConfig::default()
+    })
+    .expect("bind router");
+    let addr = router.local_addr().expect("router addr").to_string();
+    (addr, router.spawn())
+}
+
+/// Poll `probe` until it returns `Some`, failing after two minutes.
+fn wait_for<T>(what: &str, mut probe: impl FnMut() -> Option<T>) -> T {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        if let Some(v) = probe() {
+            return v;
+        }
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+#[test]
+fn hostile_lines_get_structured_errors_on_every_surface() {
+    // 100k nested arrays: about 200 KB, under the line cap, and deep
+    // enough to overflow an uncapped recursive parser's stack.
+    let deep = format!(
+        r#"{{"id":1,"method":"stats","params":{}{}}}"#,
+        "[".repeat(100_000),
+        "]".repeat(100_000)
+    );
+    assert!(deep.len() < MAX_LINE_BYTES);
+    let lines = [
+        deep,
+        "x".repeat(MAX_LINE_BYTES + 1),
+        r#"{"id":3,"method":"stats"}"#.to_owned(),
+    ];
+    let check = |surface: &str, replies: &[String]| {
+        let kinds: Vec<Option<&str>> = replies
+            .iter()
+            .map(|r| {
+                let resp = Response::parse(r).expect("reply parses");
+                resp.error().map(|e| e.kind.wire_name())
+            })
+            .collect();
+        assert_eq!(kinds, [Some("parse"), Some("oversized"), None], "{surface}");
+    };
+
+    let server = Server::bind(ServerConfig {
+        quick: true,
+        ..ServerConfig::default()
+    })
+    .expect("bind daemon");
+    let addr = server.local_addr().expect("daemon addr").to_string();
+    let handle = server.spawn();
+    check("daemon", &pipeline(&addr, &lines, 3));
+    handle.shutdown();
+
+    let (shard_addr, mut shard) = spawn_daemon("hostile");
+    let (addr, handle) = connect_router(&shard_addr);
+    check("router", &pipeline(&addr, &lines, 3));
+    assert!(shard.0.try_wait().expect("poll shard").is_none(), "shard died");
+    handle.shutdown();
+
+    // stdin stays open until every answer is in, so the process has to
+    // survive the hostile lines rather than merely exit cleanly at EOF.
+    let mut oneshot = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--quick", "--oneshot"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn oneshot");
+    let mut stdin = oneshot.stdin.take().expect("stdin");
+    for line in &lines {
+        writeln!(stdin, "{line}").expect("write request");
+    }
+    stdin.flush().expect("flush requests");
+    let mut out = BufReader::new(oneshot.stdout.take().expect("stdout")).lines();
+    let replies: Vec<String> = (0..3)
+        .map(|_| out.next().expect("a reply").expect("read reply"))
+        .collect();
+    assert!(oneshot.try_wait().expect("poll oneshot").is_none(), "oneshot died");
+    check("--oneshot", &replies);
+    drop(stdin);
+    assert!(oneshot.wait().expect("oneshot exit").success());
+}
+
+#[test]
+fn client_hanging_up_mid_plan_leaves_the_shard_search_running() {
+    // The router does not cancel upstream work: when a client drops
+    // mid-`plan`, the router counts the lines it can no longer deliver,
+    // while its connection to the shard stays up, so the shard's search
+    // runs to completion instead of aborting.
+    let (shard_addr, _shard) = spawn_daemon("hangup");
+    let (addr, handle) = connect_router(&shard_addr);
+    let router_counter = |name: &str| {
+        let mut c = Client::connect(&addr).expect("connect router");
+        counter(c.stats(1).expect("stats").result().expect("stats result"), name)
+    };
+    let before = router_counter("serve.write_errors");
+
+    // ~250 chunks of simulation nothing else runs, so the stream is still
+    // going when the client drops.
+    let apps = [
+        "Astar", "Bzip2", "Gcc", "Gobmk", "Hmmer", "Lbm", "Libquantum", "Mcf", "Milc", "Namd",
+        "Omnetpp", "Povray", "Sjeng", "Soplex", "Xalancbmk", "H264Ref", "Gromacs",
+    ];
+    let plan_params = Json::obj([
+        ("apps", Json::Arr(apps.map(Json::from).to_vec())),
+        (
+            "vdds",
+            Json::Arr((0..10).map(|i| Json::from(0.55 + 0.05 * i as f64)).collect()),
+        ),
+        ("warmup", Json::from(150u64)),
+        ("measure", Json::from(190u64)),
+        ("chunk", Json::from(4u64)),
+    ]);
+    {
+        let mut c = Client::connect(&addr).expect("connect");
+        let mut stream = c.plan(2, plan_params, None).expect("start plan");
+        let first = stream.next().expect("first partial").expect("typed partial");
+        assert!(first.partial, "{}", first.raw);
+    }
+
+    wait_for("the router's serve.write_errors to rise", || {
+        (router_counter("serve.write_errors") > before).then_some(())
+    });
+    let mut shard = Client::connect(&shard_addr).expect("connect shard");
+    let outcome = wait_for("the shard's plan flight record", || {
+        let resp = shard
+            .telemetry(3, Json::obj([("recent", Json::from(16u64))]))
+            .expect("shard telemetry");
+        let result = resp.result().expect("telemetry result");
+        match result.get("flight").and_then(|f| f.get("recent")) {
+            Some(Json::Arr(records)) => records
+                .iter()
+                .find(|r| r.get("method") == Some(&Json::from("plan")))
+                .and_then(|r| r.get("outcome").cloned()),
+            other => panic!("flight.recent missing: {other:?}"),
+        }
+    });
+    assert_eq!(outcome, Json::from("ok"), "the shard finished its search");
+    let resp = shard.stats(4).expect("shard stats");
+    assert_eq!(counter(resp.result().expect("stats result"), "serve.plan_aborted"), 0);
+
+    let resp = Client::connect(&addr)
+        .expect("a new client connects")
+        .stats(5)
+        .expect("stats");
+    assert!(resp.is_ok(), "{}", resp.raw);
     handle.shutdown();
 }
